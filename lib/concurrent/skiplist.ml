@@ -1,6 +1,21 @@
+(* A node's tower holds one next-cell per level it is linked at — as
+   tall as its drawn level, not [max_level] (the mean level is 2 at
+   p = 1/2). Every descent starts at [top - 1], so it only ever follows
+   a level-[l] link out of the head or out of a node reached at level
+   [l], and such a node's tower is taller than [l] by construction.
+   [next0] is [next.(0)] again (the same cell), so a level-0 walk goes
+   node -> cell -> node without touching the tower array. [found] is
+   [Some value], allocated once here so [find] can return it without
+   allocating; walks read [value] and never touch it. *)
 type ('k, 'v) node =
   | Nil
-  | Node of { key : 'k; value : 'v; next : ('k, 'v) node Atomic.t array }
+  | Node of {
+      key : 'k;
+      value : 'v;
+      found : 'v option;
+      next0 : ('k, 'v) node Atomic.t;
+      next : ('k, 'v) node Atomic.t array;
+    }
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
@@ -40,46 +55,52 @@ let random_level t =
   in
   count_ones z 1
 
+(* Descents start at [top - 1]: levels at and above [top] hold no
+   nodes. A stale (lower) [top] is safe because an inserter bumps [top]
+   before it makes any link above level 0 — a descent that read the old
+   value only misses express lanes, never a key (every key is linked at
+   level 0). The descents are top-level recursive functions, not local
+   closures, so a lookup allocates nothing. *)
+let start_level t = Atomic.get t.top - 1
+
 (* Algorithm 2: walk down from the top level recording, per level, the
    next-pointer array of the predecessor (the CAS target) and the
    successor node. Returns the level-0 match if the key is present. *)
-let find_towers t key preds succs =
-  let found = ref Nil in
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    preds.(level) <- pred_next;
-    succs.(level) <- cur;
-    if level = 0 then begin
-      match cur with
-      | Node n when t.compare n.key key = 0 -> found := cur
-      | Node _ | Nil -> ()
-    end
-    else descend (level - 1) pred_next
-  in
-  descend (max_level - 1) t.head;
-  !found
+let rec towers_from t key preds succs level pred_next =
+  match Atomic.get pred_next.(level) with
+  | Node n when t.compare n.key key < 0 ->
+      towers_from t key preds succs level n.next
+  | cur -> (
+      preds.(level) <- pred_next;
+      succs.(level) <- cur;
+      if level > 0 then towers_from t key preds succs (level - 1) pred_next
+      else
+        match cur with
+        | Node n when t.compare n.key key = 0 -> cur
+        | Node _ | Nil -> Nil)
 
-let find t key =
-  (* Read-only variant of the descent: no towers recorded. *)
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then
-      match cur with
-      | Node n when t.compare n.key key = 0 -> Some n.value
-      | Node _ | Nil -> None
-    else descend (level - 1) pred_next
-  in
-  descend (max_level - 1) t.head
+let find_towers t key preds succs =
+  towers_from t key preds succs (start_level t) t.head
+
+(* Read-only descent: no towers recorded, and a match at any level ends
+   it (nodes are only unlinked by [scrub], which excludes readers). *)
+let rec find_from t key level pred_next =
+  match Atomic.get pred_next.(level) with
+  | Nil -> if level = 0 then None else find_from t key (level - 1) pred_next
+  | Node n ->
+      let c = t.compare n.key key in
+      if c < 0 then find_from t key level n.next
+      else if c = 0 then n.found
+      else if level = 0 then None
+      else find_from t key (level - 1) pred_next
+
+let find t key = find_from t key (start_level t) t.head
+
+(* Level-0 successor of [key]: the first node whose key is >= [key]. *)
+let rec lower_bound t key level pred_next =
+  match Atomic.get pred_next.(level) with
+  | Node n when t.compare n.key key < 0 -> lower_bound t key level n.next
+  | cur -> if level = 0 then cur else lower_bound t key (level - 1) pred_next
 
 let rec bump_top t level =
   let current = Atomic.get t.top in
@@ -103,8 +124,10 @@ let insert_with t ~search key ~make preds succs =
     | Nil ->
         let value = match made with Some v -> v | None -> make () in
         let level = random_level t in
-        let next = Array.init max_level (fun i -> Atomic.make succs.(i)) in
-        let node = Node { key; value; next } in
+        let next = Array.init level (fun i -> Atomic.make succs.(i)) in
+        let node =
+          Node { key; value; found = Some value; next0 = next.(0); next }
+        in
         if not (Atomic.compare_and_set preds.(0).(0) succs.(0) node) then begin
           Backoff.once backoff;
           attempt (Some value)
@@ -183,117 +206,89 @@ let cursor t =
    whose retry re-seeks the same key and therefore walks every level
    ([c_last] disables skipping on retries — also on a fresh cursor,
    whose unprimed fingers would otherwise all claim head-to-Nil). *)
+(* One level of a seek: walk right from [pred] (Nil = the head), whose
+   next-array is [pred_next], and record the straddle of [key]. *)
+let rec seek_level c key level pred pred_next =
+  match Atomic.get pred_next.(level) with
+  | Node n as cur when c.list.compare n.key key < 0 ->
+      seek_level c key level cur n.next
+  | cur ->
+      c.c_preds.(level) <- pred_next;
+      c.c_pred_nodes.(level) <- pred;
+      c.c_succs.(level) <- cur
+
 let seek c key =
   let t = c.list in
   let retry =
     match c.c_last with Some k -> t.compare k key = 0 | None -> true
   in
   c.c_last <- Some key;
-  let found = ref Nil in
   (* Levels at and above [top] hold no nodes, so the cursor's init
      state (head pred, Nil succ) stays a valid straddle there; starting
      the loop at [top] skips them wholesale. A racing taller insert is
      caught by the CAS, and its bump of [top] happens before its upper
      links, so the retry's re-seek covers the new levels. *)
-  let top = Atomic.get t.top in
   (* predecessor node found one level up; Nil = still at the head *)
   let carry = ref Nil in
-  for level = (if top < max_level then top - 1 else max_level - 1) downto 0 do
+  for level = start_level t downto 0 do
     let finger = c.c_pred_nodes.(level) in
-    let start_pred, start_next =
+    let start =
       match (!carry, finger) with
-      | (Node cn as carried), Nil -> (carried, cn.next)
-      | (Node cn as carried), Node fn when t.compare cn.key fn.key > 0 ->
-          (carried, cn.next)
-      | _, Nil -> (Nil, c.c_preds.(level))
-      | _, (Node fn as fng) -> (fng, fn.next)
+      | (Node _ as carried), Nil -> carried
+      | (Node cn as carried), Node fn when t.compare cn.key fn.key > 0 -> carried
+      | _ -> finger
     in
     let skip =
       (not retry)
-      && start_pred == finger
+      && start == finger
       && Atomic.get c.c_preds.(level).(level) == c.c_succs.(level)
       && match c.c_succs.(level) with
          | Nil -> true
          | Node s -> t.compare s.key key >= 0
     in
-    if skip then begin
-      (match finger with Node _ -> carry := finger | Nil -> ());
-      if level = 0 then begin
-        match c.c_succs.(0) with
-        | Node s as cur when t.compare s.key key = 0 -> found := cur
-        | Node _ | Nil -> ()
-      end
-    end
-    else begin
-      let rec advance pred pred_next =
-        match Atomic.get pred_next.(level) with
-        | Node n as cur when t.compare n.key key < 0 -> advance cur n.next
-        | cur -> (pred, pred_next, cur)
-      in
-      let pred, pred_next, cur = advance start_pred start_next in
-      c.c_preds.(level) <- pred_next;
-      c.c_pred_nodes.(level) <- pred;
-      c.c_succs.(level) <- cur;
-      (match pred with Node _ -> carry := pred | Nil -> ());
-      if level = 0 then begin
-        match cur with
-        | Node n when t.compare n.key key = 0 -> found := cur
-        | Node _ | Nil -> ()
-      end
-    end
+    if not skip then
+      seek_level c key level start
+        (match start with Node s -> s.next | Nil -> c.c_preds.(level));
+    match c.c_pred_nodes.(level) with Node _ as p -> carry := p | Nil -> ()
   done;
-  !found
+  match c.c_succs.(0) with
+  | Node s as cur when t.compare s.key key = 0 -> cur
+  | Node _ | Nil -> Nil
 
 let find_or_insert_at c key ~make =
   insert_with c.list ~search:(fun () -> seek c key) key ~make c.c_preds
     c.c_succs
 
-let iter t f =
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        f n.key n.value;
-        walk (Atomic.get n.next.(0))
-  in
-  walk (Atomic.get t.head.(0))
+(* Load a node's line now, so its cache miss overlaps whatever the
+   caller does next. *)
+let touch = function
+  | Node n -> ignore (Sys.opaque_identity n.value)
+  | Nil -> ()
 
-let iter_from t key f =
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then cur else descend (level - 1) pred_next
-  in
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        f n.key n.value;
-        walk (Atomic.get n.next.(0))
-  in
-  walk (descend (max_level - 1) t.head)
+(* A level-0 walk is a chain of dependent cache misses. The successor
+   is loaded and touched before the callback runs, so its misses
+   overlap the callback's own. *)
+let rec walk f = function
+  | Nil -> ()
+  | Node n ->
+      let next = Atomic.get n.next0 in
+      touch next;
+      f n.key n.value;
+      walk f next
+
+let iter t f = walk f (Atomic.get t.head.(0))
+let iter_from t key f = walk f (lower_bound t key (start_level t) t.head)
+
+let rec walk_below t hi f = function
+  | Node n when t.compare n.key hi < 0 ->
+      let next = Atomic.get n.next0 in
+      touch next;
+      f n.key n.value;
+      walk_below t hi f next
+  | Node _ | Nil -> ()
 
 let iter_range t ~lo ~hi f =
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key lo < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then cur else descend (level - 1) pred_next
-  in
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        if t.compare n.key hi < 0 then begin
-          f n.key n.value;
-          walk (Atomic.get n.next.(0))
-        end
-  in
-  walk (descend (max_level - 1) t.head)
+  walk_below t hi f (lower_bound t lo (start_level t) t.head)
 
 (* Physically unlink every node matching [dead] at all levels, the
    vordered-kv scrub idiom: per level, walk the pred's next-cell and
@@ -302,7 +297,7 @@ let iter_range t ~lo ~hi f =
    this structure has no concurrent removal protocol. *)
 let scrub t ~dead =
   let removed = ref 0 in
-  for level = max_level - 1 downto 0 do
+  for level = start_level t downto 0 do
     let rec sweep pred_next =
       match Atomic.get pred_next.(level) with
       | Nil -> ()

@@ -12,7 +12,12 @@
     value points at, not the index entry). Iteration over level 0 yields
     keys in ascending order and may run concurrently with inserts: it
     observes every key inserted before it started and possibly some
-    inserted during. *)
+    inserted during.
+
+    Layout: each node's tower is as tall as its randomly drawn level
+    (one atomic next-cell per level it is linked at), and every search
+    descends from the current highest occupied level, not from
+    {!max_level}. [find] allocates nothing. *)
 
 type ('k, 'v) t
 

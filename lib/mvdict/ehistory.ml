@@ -12,8 +12,6 @@ struct
     type t = buffer Atomic.t
     type value = V.t option
 
-    let marker = None
-    let is_marker v = v = None
     let capacity t = Array.length (Atomic.get t).versions
 
     let make_buffer n =
@@ -39,15 +37,13 @@ struct
       buf.versions.(slot) <- version;
       buf.values.(slot) <- value
 
-    let read_version t slot = (Atomic.get t).versions.(slot)
-
     let set_finished t slot stamp =
       let buf = Atomic.get t in
       buf.finished.(slot) <- stamp
 
-    let read_entry t slot =
-      let buf = Atomic.get t in
-      (buf.versions.(slot), buf.values.(slot), buf.finished.(slot))
+    let read_version t slot = (Atomic.get t).versions.(slot)
+    let read_value t slot = (Atomic.get t).values.(slot)
+    let read_finished t slot = (Atomic.get t).finished.(slot)
   end
 
   module H = Lazy_tail.Make (Backend)

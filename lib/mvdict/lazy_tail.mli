@@ -20,39 +20,42 @@
     max), which keeps the binary search of queries correct under every
     interleaving.
 
-    Growth: the appender whose slot equals the current capacity becomes
-    the designated grower; it briefly excludes in-flight writers (a
-    write-preferring flag + count), copies to a doubled buffer, and
-    publishes it. Readers are never blocked: they read each entry from a
-    single buffer snapshot and entries are write-once. *)
+    Growth: a slot is claimed only once the capacity covers it; an
+    appender that finds the buffer full becomes the designated grower,
+    briefly excludes in-flight writers (a write-preferring flag +
+    count), copies to a doubled buffer, and publishes it. A growth that
+    raises leaves nothing claimed or flagged, so the history stays
+    usable. Readers are never blocked: entries are write-once, the
+    buffer pointer only moves forward, and lookups read single words
+    (stamp before version) without allocating. *)
 
 module type BACKEND = sig
   type t
   type value
 
-  val marker : value
-  (** The removal marker. *)
-
-  val is_marker : value -> bool
   val capacity : t -> int
 
   val ensure : t -> int -> unit
   (** Grow to at least the given capacity. Called only by the designated
-      grower with no writer in flight. *)
+      grower with no writer in flight; may raise (heap exhaustion), in
+      which case the capacity is unchanged. *)
 
   val write_entry : t -> int -> version:int -> value -> unit
   (** Publish version then value of a claimed slot, then persist them
       (persistence is a no-op for RAM backends). *)
 
-  val read_version : t -> int -> int
-  (** Version word of a slot; 0 if not yet written. *)
-
   val set_finished : t -> int -> int -> unit
   (** Persist the completion stamp of a slot (written last). *)
 
-  val read_entry : t -> int -> int * value * int
-  (** [(version, value, finished)] of a slot, all read from one buffer
-      snapshot. *)
+  val read_version : t -> int -> int
+  (** Version word of a slot; 0 if not yet written. *)
+
+  val read_value : t -> int -> value
+  (** Value of a slot; meaningful once its stamp is non-zero. *)
+
+  val read_finished : t -> int -> int
+  (** Completion stamp of a slot; 0 if not yet finished. Each [read_*]
+      reads one word through the backend's current buffer. *)
 end
 
 module Make (B : BACKEND) : sig
@@ -67,7 +70,8 @@ module Make (B : BACKEND) : sig
 
   val append : t -> ctx:Version.t -> board:Completion.t -> version:int -> B.value -> unit
   (** The full Algorithm-1 insert: claim, order, write, persist, stamp,
-      publish completion. [remove] is an append of {!B.marker}. *)
+      publish completion. A removal is an append of the backend's
+      marker value. *)
 
   val append_entry : t -> version:int -> B.value -> int
   (** First half of a two-phase (batch) append: claim a slot, order the
@@ -82,6 +86,16 @@ module Make (B : BACKEND) : sig
       [Completion.publish] it only after the stamps' persistence
       barrier, so an entry can never be visible before it is durable. *)
 
+  val find_slot : t -> ctx:Version.t -> version:int -> int
+  (** Algorithm-1 find: lazily extend the tail no further than the
+      requested version requires, then binary-search the visible prefix.
+      Returns the slot of the latest visible entry with a version at or
+      below the requested one, or [-1]. Allocates nothing. *)
+
+  val value_at : t -> int -> B.value
+  (** Value of a slot returned by {!find_slot} (may be the removal
+      marker). *)
+
   type lookup =
     | Absent  (** No visible entry at or below the requested version. *)
     | Entry of int * B.value
@@ -89,9 +103,7 @@ module Make (B : BACKEND) : sig
             be the removal marker. *)
 
   val find : t -> ctx:Version.t -> version:int -> lookup
-  (** Algorithm-1 find: lazily extend the tail no further than the
-      requested version requires, then binary-search the visible
-      prefix. *)
+  (** {!find_slot} with the entry read out; allocates only its result. *)
 
   val events : t -> ctx:Version.t -> (int * B.value) list
   (** The visible history, oldest first (extract_history). *)

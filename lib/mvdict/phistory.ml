@@ -5,8 +5,6 @@ module Backend = struct
   type t = Pmem.Pvector.t
   type value = int
 
-  let marker = Codec.marker_word
-  let is_marker = Codec.is_marker
   let capacity = Pmem.Pvector.capacity
   let ensure v n = Pmem.Pvector.grow v n
 
@@ -15,13 +13,15 @@ module Backend = struct
     Pmem.Pvector.set_word v ~record:slot ~word:1 word;
     Pmem.Pvector.persist_record v ~record:slot
 
-  let read_version v slot = Pmem.Pvector.get_word v ~record:slot ~word:0
-
   let set_finished v slot stamp =
     Pmem.Pvector.set_word v ~record:slot ~word:2 stamp;
     Pmem.Pvector.persist_record v ~record:slot
 
-  let read_entry v slot = Pmem.Pvector.get_record3 v ~record:slot
+  (* Single-word reads, each through the vector's current buffer
+     pointer: see Lazy_tail for why no record snapshot is needed. *)
+  let read_version v slot = Pmem.Pvector.get_word v ~record:slot ~word:0
+  let read_value v slot = Pmem.Pvector.get_word v ~record:slot ~word:1
+  let read_finished v slot = Pmem.Pvector.get_word v ~record:slot ~word:2
 end
 
 module H = Lazy_tail.Make (Backend)

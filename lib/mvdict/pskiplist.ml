@@ -54,19 +54,16 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   (* Same shape as the lazy-tail writer/grower handshake: register, then
      re-check the flag and back out if compaction closed the gate in
      between — compaction's drain loop then cannot miss us. *)
-  let op_enter t =
-    let rec loop () =
-      while Atomic.get t.gate_closed do
-        Domain.cpu_relax ()
-      done;
-      ignore (Atomic.fetch_and_add t.gate_inflight 1);
-      if Atomic.get t.gate_closed then begin
-        ignore (Atomic.fetch_and_add t.gate_inflight (-1));
-        Domain.cpu_relax ();
-        loop ()
-      end
-    in
-    loop ()
+  let rec op_enter t =
+    while Atomic.get t.gate_closed do
+      Domain.cpu_relax ()
+    done;
+    ignore (Atomic.fetch_and_add t.gate_inflight 1);
+    if Atomic.get t.gate_closed then begin
+      ignore (Atomic.fetch_and_add t.gate_inflight (-1));
+      Domain.cpu_relax ();
+      op_enter t
+    end
 
   let op_exit t = ignore (Atomic.fetch_and_add t.gate_inflight (-1))
 
@@ -161,22 +158,34 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let install_one_chunk t ~version ~cur ~word_of items lo hi =
     let k = hi - lo in
-    let stamps = Array.make k 0 in
+    (* Key [lo + i] went to history [hists.(i)], slot [slots.(i)];
+       [written] counts the keys written. If a key fails half-way (heap
+       exhaustion while encoding or growing), the slots already written
+       are still stamped and published before the error propagates: an
+       unstamped slot would end every later tail walk of its history,
+       hiding all of that key's future writes. *)
+    let hists = ref [||] and slots = Array.make k 0 and stamps = Array.make k 0 in
+    let written = ref 0 and failure = ref None in
     Pmem.Media.with_batch (fun () ->
-        let slots =
-          Array.init k (fun i ->
-              let key, x = items.(lo + i) in
-              let h = history_of_at t cur key in
-              (h, Phistory.H.append_entry h ~version (word_of x)))
-        in
+        (try
+           for i = 0 to k - 1 do
+             let key, x = items.(lo + i) in
+             let h = history_of_at t cur key in
+             slots.(i) <- Phistory.H.append_entry h ~version (word_of x);
+             if i = 0 then hists := Array.make k h else !hists.(i) <- h;
+             written := i + 1
+           done
+         with e -> failure := Some (e, Printexc.get_raw_backtrace ()));
         Pmem.Media.batch_barrier ();
-        Array.iteri
-          (fun i (h, slot) ->
-            stamps.(i) <- Phistory.H.finish_entry h ~ctx:t.ctx ~slot)
-          slots);
+        for i = 0 to !written - 1 do
+          stamps.(i) <- Phistory.H.finish_entry !hists.(i) ~ctx:t.ctx ~slot:slots.(i)
+        done);
     (* Scope exit above was the stamps' barrier; entries become visible
        only now, so visible still implies durable. *)
-    Array.iter (fun s -> Completion.publish t.board s) stamps
+    for i = 0 to !written - 1 do
+      Completion.publish t.board stamps.(i)
+    done;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
   let install_batch t items ~word_of =
     let items = Array.of_list items in
@@ -213,20 +222,39 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   let tag t = Version.tag t.ctx
   let current_version t = Version.current t.ctx
 
-  let lookup_value t h version =
-    match Phistory.H.find h ~ctx:t.ctx ~version with
-    | Phistory.H.Absent -> None
-    | Phistory.H.Entry (_, word) ->
-        if Codec.is_marker word then None
-        else Some (Codec.decode (module V) t.media word)
+  (* The value word of [h] at [version]; the marker when the key is
+     absent or removed there. Allocates nothing. *)
+  let value_word t h version =
+    let slot = Phistory.H.find_slot h ~ctx:t.ctx ~version in
+    if slot < 0 then Codec.marker_word else Phistory.H.value_at h slot
 
+  let lookup_value t h version =
+    let word = value_word t h version in
+    if Codec.is_marker word then None
+    else Some (Codec.decode (module V) t.media word)
+
+  (* Feed one index entry to a scan callback, without an option. *)
+  let visit t version f key h =
+    let word = value_word t h version in
+    if not (Codec.is_marker word) then f key (Codec.decode (module V) t.media word)
+
+  (* Gated by hand rather than through [gated]: a closure here would be
+     the only allocation of a hit besides its [Some] result. *)
   let find t ?(version = max_int) key =
     let t0 = Obs.Instr.start () in
+    op_enter t;
     let result =
-      gated t (fun () ->
-          match Concurrent.Skiplist.find t.index key with
-          | None -> None
-          | Some h -> lookup_value t h version)
+      match
+        match Concurrent.Skiplist.find t.index key with
+        | None -> None
+        | Some h -> lookup_value t h version
+      with
+      | r ->
+          op_exit t;
+          r
+      | exception e ->
+          op_exit t;
+          raise e
     in
     Obs.Instr.finish m_find t0;
     result
@@ -252,20 +280,14 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      exactly once (gated sections must not nest — compaction's drain
      would deadlock against a reader re-entering the gate). *)
   let iter_snapshot_raw t ~version f =
-    Concurrent.Skiplist.iter t.index (fun key h ->
-        match lookup_value t h version with
-        | Some v -> f key v
-        | None -> ())
+    Concurrent.Skiplist.iter t.index (visit t version f)
 
   let iter_snapshot t ?(version = max_int) f =
     gated t (fun () -> iter_snapshot_raw t ~version f)
 
   let iter_range t ?(version = max_int) ~lo ~hi f =
     gated t (fun () ->
-        Concurrent.Skiplist.iter_range t.index ~lo ~hi (fun key h ->
-            match lookup_value t h version with
-            | Some v -> f key v
-            | None -> ()))
+        Concurrent.Skiplist.iter_range t.index ~lo ~hi (visit t version f))
 
   let extract_snapshot t ?(version = max_int) () =
     let t0 = Obs.Instr.start () in

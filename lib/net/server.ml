@@ -460,17 +460,23 @@ struct
         let limit =
           if limit <= 0 then scan_chunk else min limit scan_chunk
         in
-        let acc = ref [] and n = ref 0 in
+        (* The page is filled in place, in key order. It starts at 256
+           pairs (the usual client page) and doubles only beyond that,
+           so a typical page is built as exactly one array. *)
+        let page = ref (Array.make (min limit 256) (0, 0)) and n = ref 0 in
         let exception Page_full in
         (try
            S.iter_range t.store ?version ~lo ~hi (fun k v ->
-               acc := (k, v) :: !acc;
+               if !n = Array.length !page then begin
+                 let bigger = Array.make (min limit (2 * !n)) (0, 0) in
+                 Array.blit !page 0 bigger 0 !n;
+                 page := bigger
+               end;
+               !page.(!n) <- (k, v);
                incr n;
                if !n >= limit then raise Page_full)
          with Page_full -> ());
-        let a = Array.of_list !acc in
-        let m = Array.length a in
-        Wire.Pairs (Array.init m (fun i -> a.(m - 1 - i)))
+        Wire.Pairs (if !n = Array.length !page then !page else Array.sub !page 0 !n)
     | Wire.Migrate_pull { lo; hi; since; limit } ->
         (* [limit] bounds the page in events; the same cap as Scan
            keeps the reply around 1 MiB. *)

@@ -378,10 +378,7 @@ let pp_response fmt = function
 
 let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
-let put_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let put_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 let put_opt_int buf = function
   | None -> put_u8 buf 0
@@ -423,6 +420,66 @@ let request_opcode = function
   | Range_unseal _ -> 27
   | Moves_status -> 28
 
+(* ---- body sizes ----
+
+   Frames are written straight into the caller's buffer: the length
+   prefix comes first, so each body's size is computed up front from
+   the same layout the writers below produce ([add_request] and
+   [add_response] assert that the two agree). No intermediate body
+   string, no copy. *)
+
+let opt_int_size = function None -> 1 | Some _ -> 9
+let string_size s = 8 + String.length s
+
+(* count + per event: version, tag byte, and the value of a Put *)
+let events_size evs =
+  List.fold_left
+    (fun n (_, event) ->
+      n + 9 + match event with Mvdict.Dict_intf.Del -> 0 | Mvdict.Dict_intf.Put _ -> 8)
+    8 evs
+
+(* count + per chain: key, then its events *)
+let chains_size chains =
+  Array.fold_left (fun n (_, events) -> n + 8 + events_size events) 8 chains
+
+(* Version byte + opcode byte + payload. *)
+let rec request_body_size (r : request) =
+  2
+  +
+  match r with
+  | Ping | Tag | Stats | Metrics_prom | Epoch_probe | Registry_snap | Moves_status -> 0
+  | Trace_dump _ -> 1
+  | Insert _ | Range_unseal _ -> 16
+  | Remove _ | History _ | Slowlog _ | Tag_at _ | Compact _ | Retention _ -> 8
+  | Find { version; _ } -> 8 + opt_int_size version
+  | Snapshot { version } -> opt_int_size version
+  | Find_bulk { keys; version } -> opt_int_size version + 8 + (8 * Array.length keys)
+  | Stamped { req; _ } | Replicate { req; _ } -> 8 + request_body_size req
+  | Traced { req; _ } -> 25 + request_body_size req
+  | Insert_batch { pairs } -> 8 + (16 * Array.length pairs)
+  | Remove_batch { keys } -> 8 + (8 * Array.length keys)
+  | Scan { version; _ } -> 24 + opt_int_size version
+  | Migrate_pull _ -> 32
+  | History_batch { chains; _ } -> 8 + chains_size chains
+  | Range_seal { endpoint; _ } -> 24 + string_size endpoint
+
+let response_body_size (r : response) =
+  2
+  +
+  match r with
+  | Pong | Ack -> 0
+  | Version _ -> 8
+  | Value v -> opt_int_size v
+  | Values vs -> Array.fold_left (fun n v -> n + opt_int_size v) 8 vs
+  | Events evs -> events_size evs
+  | Pairs pairs -> 8 + (16 * Array.length pairs)
+  | Stats_json s | Prom_text s | Trace_json s | Slowlog_json s | Snap_json s
+  | Moves_json s ->
+      string_size s
+  | Gc_done _ | Epoch_info _ -> 16
+  | Histories chains -> chains_size chains
+  | Error { message; _ } -> 1 + string_size message
+
 (* Chains travel as: count, then per key the key, the event count, and
    each event as version + tag byte (0 Del / 1 Put + value) — the same
    event encoding the Events response uses. *)
@@ -447,8 +504,7 @@ let put_chains buf chains =
    request body (version byte, opcode, payload) running to the end of
    the frame — no inner length prefix needed, and the inner body decodes
    with the same cursor machinery. *)
-let rec encode_request_body (r : request) =
-  let buf = Buffer.create 32 in
+let rec write_request_body buf (r : request) =
   put_u8 buf protocol_version;
   put_u8 buf (request_opcode r);
   (match r with
@@ -472,13 +528,13 @@ let rec encode_request_body (r : request) =
   | Retention { keep } -> put_int buf keep
   | Stamped { epoch; req } | Replicate { epoch; req } ->
       put_int buf epoch;
-      Buffer.add_string buf (encode_request_body req)
+      write_request_body buf req
   | Traced { trace_hi; trace_lo; parent_span; sampled; req } ->
       put_int buf trace_hi;
       put_int buf trace_lo;
       put_int buf parent_span;
       put_u8 buf (if sampled then 1 else 0);
-      Buffer.add_string buf (encode_request_body req)
+      write_request_body buf req
   | Insert_batch { pairs } ->
       put_int buf (Array.length pairs);
       Array.iter
@@ -510,8 +566,7 @@ let rec encode_request_body (r : request) =
   | Range_unseal { lo; hi } ->
       put_int buf lo;
       put_int buf hi
-  | Moves_status -> ());
-  Buffer.contents buf
+  | Moves_status -> ())
 
 let response_opcode = function
   | Pong -> 1
@@ -536,8 +591,7 @@ let response_opcode = function
    strict decoder accepts the reply; the payload encodings are
    identical across supported versions (v5 only adds opcodes a v4
    client never elicits). *)
-let encode_response_body ?(version = protocol_version) (r : response) =
-  let buf = Buffer.create 32 in
+let write_response_body buf version (r : response) =
   put_u8 buf version;
   put_u8 buf (response_opcode r);
   (match r with
@@ -560,11 +614,11 @@ let encode_response_body ?(version = protocol_version) (r : response) =
         evs
   | Pairs pairs ->
       put_int buf (Array.length pairs);
-      Array.iter
-        (fun (k, v) ->
-          put_int buf k;
-          put_int buf v)
-        pairs
+      for i = 0 to Array.length pairs - 1 do
+        let k, v = pairs.(i) in
+        put_int buf k;
+        put_int buf v
+      done
   | Stats_json s | Prom_text s | Trace_json s | Slowlog_json s | Snap_json s ->
       put_string buf s
   | Gc_done { dropped; before } ->
@@ -577,21 +631,38 @@ let encode_response_body ?(version = protocol_version) (r : response) =
   | Moves_json s -> put_string buf s
   | Error { code; message } ->
       put_u8 buf (error_code_to_int code);
-      put_string buf message);
+      put_string buf message)
+
+let encode_request_body r =
+  let buf = Buffer.create (request_body_size r) in
+  write_request_body buf r;
   Buffer.contents buf
 
-(* Append [body] to [buf] as one frame: 4-byte big-endian length prefix
-   then the body verbatim. *)
-let add_frame buf body =
-  let n = String.length body in
+(* A frame is a 4-byte big-endian body length, then the body. *)
+let put_length buf n =
   put_u8 buf (n lsr 24);
   put_u8 buf (n lsr 16);
   put_u8 buf (n lsr 8);
-  put_u8 buf n;
+  put_u8 buf n
+
+(* Append [body] to [buf] as one frame. *)
+let add_frame buf body =
+  put_length buf (String.length body);
   Buffer.add_string buf body
 
-let add_request buf r = add_frame buf (encode_request_body r)
-let add_response ?version buf r = add_frame buf (encode_response_body ?version r)
+let add_request buf r =
+  let n = request_body_size r in
+  put_length buf n;
+  let start = Buffer.length buf in
+  write_request_body buf r;
+  assert (Buffer.length buf - start = n)
+
+let add_response ?(version = protocol_version) buf r =
+  let n = response_body_size r in
+  put_length buf n;
+  let start = Buffer.length buf in
+  write_response_body buf version r;
+  assert (Buffer.length buf - start = n)
 
 (* ---- frame scanning ---- *)
 

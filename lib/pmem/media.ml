@@ -230,6 +230,18 @@ let scope_entry scope media =
           scope.entries <- e :: scope.entries;
           e)
 
+(* Merge [first, last] into one of the last four recorded ranges
+   (index [i] down to [n - 4]) if it touches it. A top-level function:
+   a local closure here would allocate on every recorded flush. *)
+let rec try_merge e first last n i =
+  if i < 0 || i < n - 4 then false
+  else if first <= e.lasts.(i) + 1 && last + 1 >= e.firsts.(i) then begin
+    if first < e.firsts.(i) then e.firsts.(i) <- first;
+    if last > e.lasts.(i) then e.lasts.(i) <- last;
+    true
+  end
+  else try_merge e first last n (i - 1)
+
 let record_range e first last =
   e.asked_lines <- e.asked_lines + (last - first + 1);
   (* A batch's writes alternate between a few regions (entry payloads,
@@ -237,16 +249,7 @@ let record_range e first last =
      last few recorded ones merge in place; only genuinely scattered
      ranges grow the log and wait for the drain's sort. *)
   let n = e.nranges in
-  let rec try_merge i =
-    if i < 0 || i < n - 4 then false
-    else if first <= e.lasts.(i) + 1 && last + 1 >= e.firsts.(i) then begin
-      if first < e.firsts.(i) then e.firsts.(i) <- first;
-      if last > e.lasts.(i) then e.lasts.(i) <- last;
-      true
-    end
-    else try_merge (i - 1)
-  in
-  if not (try_merge (n - 1)) then begin
+  if not (try_merge e first last n (n - 1)) then begin
     if n = Array.length e.firsts then begin
       let cap = 2 * n in
       let firsts = Array.make cap 0 and lasts = Array.make cap 0 in

@@ -1,13 +1,20 @@
 (* Header: { buf : i64; record_words : i64 }
    Buffer: { capacity_records : i64; records... }
    The buffer pointer is the only mutable header word; swapping it
-   publishes the new capacity and contents together. *)
+   publishes the new capacity and contents together.
+
+   [buf] caches the header's buffer pointer, so a record read is one
+   pmem access instead of two dependent ones. The header stays the
+   persistent truth: every swap goes through this handle (grow,
+   shrink_offline), which persists the header and then updates the
+   cache. *)
 
 type t = {
   heap : Pheap.t;
   media : Media.t;
   header_off : int;
   record_words : int;
+  mutable buf : int;
 }
 
 let header_size = 16
@@ -25,12 +32,13 @@ let create heap ~record_words ~initial_capacity =
   if initial_capacity <= 0 then invalid_arg "Pvector.create: initial_capacity";
   let media = Pheap.media heap in
   let header_off = Alloc.alloc (Pheap.allocator heap) header_size in
-  let t = { heap; media; header_off; record_words } in
+  let t = { heap; media; header_off; record_words; buf = 0 } in
   let buf = alloc_buffer t ~capacity:initial_capacity in
   Media.persist media buf (buffer_bytes ~record_words ~capacity:initial_capacity);
   Media.set_i64 media header_off buf;
   Media.set_i64 media (header_off + 8) record_words;
   Media.persist media header_off header_size;
+  t.buf <- buf;
   t
 
 let attach heap header_off =
@@ -38,11 +46,11 @@ let attach heap header_off =
   let media = Pheap.media heap in
   let record_words = Media.get_i64 media (header_off + 8) in
   if record_words <= 0 then invalid_arg "Pvector.attach: corrupt header";
-  { heap; media; header_off; record_words }
+  { heap; media; header_off; record_words; buf = Media.get_i64 media header_off }
 
 let handle t = t.header_off
 let record_words t = t.record_words
-let buf_off t = Media.get_i64 t.media t.header_off
+let buf_off t = t.buf
 let capacity t = Media.get_i64 t.media (buf_off t)
 
 let grow t wanted =
@@ -61,6 +69,7 @@ let grow t wanted =
       (buffer_bytes ~record_words:t.record_words ~capacity:new_capacity);
     Media.set_i64 t.media t.header_off new_buf;
     Media.persist t.media t.header_off 8;
+    t.buf <- new_buf;
     (* The old buffer is quarantined, not freed, so concurrent readers
        that already loaded it stay valid; the heap's quiesced GC drains
        the quarantine once no reader can hold the pointer. *)
@@ -85,6 +94,7 @@ let shrink_offline t ~capacity ~keep =
        way a bounded leak, never a torn vector. *)
     Media.set_i64 t.media t.header_off new_buf;
     Media.persist t.media t.header_off 8;
+    t.buf <- new_buf;
     Alloc.free (Pheap.allocator t.heap) old_buf
       (buffer_bytes ~record_words:t.record_words ~capacity:old_capacity)
   end

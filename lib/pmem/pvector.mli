@@ -12,7 +12,12 @@
     performed by exactly one thread at a time (in the store above, the
     thread whose claimed slot equals the current capacity), while other
     writers spin until [capacity] covers their slot. The old buffer is
-    quarantined, not recycled, so stale readers are always safe. *)
+    quarantined, not recycled, so stale readers are always safe.
+
+    A handle caches the header's buffer pointer, so a word read is one
+    pmem access. A growth or shrink updates only the handle it runs
+    through: every reader of a vector that changes size must share
+    that handle ({!attach} a fresh one to see a swap made elsewhere). *)
 
 type t
 

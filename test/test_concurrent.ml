@@ -140,28 +140,135 @@ let skiplist_concurrent_readers_during_inserts () =
 
 (* Skiplist: model-based property test against Map *)
 
+(* A random program over every index entry point. [Batch] installs an
+   ascending key run through one finger cursor; [Scrub m] unlinks the
+   keys divisible by [m]. Towers are sized to their level, so a descent
+   that followed a link at a level its node is not linked at would
+   index past the tower and raise. *)
+type sl_op =
+  | Ins of int * int
+  | Batch of (int * int) list
+  | Find of int
+  | Range of int * int
+  | Scrub of int
+
+let print_sl_op = function
+  | Ins (k, v) -> Printf.sprintf "ins %d=%d" k v
+  | Batch kvs ->
+      "batch "
+      ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) kvs)
+  | Find k -> Printf.sprintf "find %d" k
+  | Range (lo, hi) -> Printf.sprintf "range [%d,%d)" lo hi
+  | Scrub m -> Printf.sprintf "scrub %%%d" m
+
+let gen_sl_op =
+  let open QCheck.Gen in
+  let key = int_bound 300 in
+  frequency
+    [
+      (4, map2 (fun k v -> Ins (k, v)) key small_nat);
+      (2, map (fun kvs -> Batch kvs) (list_size (int_bound 40) (pair key small_nat)));
+      (3, map (fun k -> Find k) key);
+      (2, map2 (fun a b -> Range (min a b, max a b)) key key);
+      (1, map (fun m -> Scrub m) (int_range 2 7));
+    ]
+
+let check_outcome model k v = function
+  | Concurrent.Skiplist.Added x -> (not (IntMap.mem k !model)) && x = v
+  | Concurrent.Skiplist.Found x -> IntMap.find_opt k !model = Some x
+  | Concurrent.Skiplist.Raced _ -> false
+
+let sorted_bindings s =
+  List.rev (Concurrent.Skiplist.fold s ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+
+(* Two domains insert interleaved fresh keys, one through
+   [find_or_insert], one through ascending cursor batches. *)
+let concurrent_phase s model =
+  let base = 1000 and per = 400 in
+  let mine i = base + (2 * i) and theirs i = base + (2 * i) + 1 in
+  let other =
+    Domain.spawn (fun () ->
+        for i = 0 to per - 1 do
+          let k = theirs i in
+          ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k))
+        done)
+  in
+  let cur = ref (Concurrent.Skiplist.cursor s) in
+  for i = 0 to per - 1 do
+    if i mod 32 = 0 then cur := Concurrent.Skiplist.cursor s;
+    let k = mine i in
+    ignore (Concurrent.Skiplist.find_or_insert_at !cur k ~make:(fun () -> k))
+  done;
+  Domain.join other;
+  for i = 0 to (2 * per) - 1 do
+    let k = base + i in
+    model := IntMap.add k k !model
+  done
+
 let qcheck_skiplist_vs_map =
   let open QCheck in
   Test.make ~name:"skiplist agrees with Map on random programs" ~count:200
-    (list (pair small_int (option small_int)))
+    (make ~print:(Print.list print_sl_op) (Gen.list gen_sl_op))
     (fun ops ->
       let s = int_skiplist () in
       let model = ref IntMap.empty in
-      List.iter
-        (fun (k, v) ->
-          match v with
-          | Some v ->
-              (match Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> v) with
-              | Concurrent.Skiplist.Added _ ->
-                  if not (IntMap.mem k !model) then model := IntMap.add k v !model
-              | _ -> ())
-          | None -> ignore (Concurrent.Skiplist.find s k))
-        ops;
-      (* Same cardinality, same sorted association list. *)
-      let from_skiplist =
-        List.rev (Concurrent.Skiplist.fold s ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+      let step = function
+        | Ins (k, v) ->
+            let ok = check_outcome model k v
+                (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> v)) in
+            if not (IntMap.mem k !model) then model := IntMap.add k v !model;
+            ok
+        | Batch kvs ->
+            let kvs = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) kvs in
+            let cur = Concurrent.Skiplist.cursor s in
+            List.for_all
+              (fun (k, v) ->
+                let ok = check_outcome model k v
+                    (Concurrent.Skiplist.find_or_insert_at cur k ~make:(fun () -> v)) in
+                if not (IntMap.mem k !model) then model := IntMap.add k v !model;
+                ok)
+              kvs
+        | Find k -> Concurrent.Skiplist.find s k = IntMap.find_opt k !model
+        | Range (lo, hi) ->
+            let got = ref [] in
+            Concurrent.Skiplist.iter_range s ~lo ~hi (fun k v -> got := (k, v) :: !got);
+            List.rev !got
+            = List.filter (fun (k, _) -> k >= lo && k < hi) (IntMap.bindings !model)
+        | Scrub m ->
+            let dead, live = IntMap.partition (fun k _ -> k mod m = 0) !model in
+            model := live;
+            Concurrent.Skiplist.scrub s ~dead:(fun k _ -> k mod m = 0)
+            = IntMap.cardinal dead
       in
-      from_skiplist = IntMap.bindings !model)
+      let sequential_ok = List.for_all step ops in
+      (* Same cardinality, same sorted association list. *)
+      let agrees () =
+        sorted_bindings s = IntMap.bindings !model
+        && Concurrent.Skiplist.cardinal s = IntMap.cardinal !model
+      in
+      let before = agrees () in
+      concurrent_phase s model;
+      sequential_ok && before && agrees ()
+      && IntMap.for_all (fun k v -> Concurrent.Skiplist.find s k = Some v) !model)
+
+let skiplist_find_allocates_nothing () =
+  let s = int_skiplist () in
+  let keys = 4096 in
+  for k = 0 to keys - 1 do
+    ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k))
+  done;
+  let iterations = 100_000 in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to iterations do
+    match Concurrent.Skiplist.find s (i land (keys - 1)) with
+    | Some _ -> incr hits
+    | None -> ()
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "every lookup hits" iterations !hits;
+  (* Any per-lookup allocation would show up as >= [iterations] words. *)
+  check_bool "no per-op allocation" true (w1 -. w0 < 64.0)
 
 (* Red-black tree *)
 
@@ -253,20 +360,40 @@ let qcheck_range_vs_map =
       let s = int_skiplist () in
       let t = Concurrent.Rbtree.create ~compare:Int.compare () in
       let model = ref IntMap.empty in
+      (* Half the keys one at a time, the other half as one ascending
+         cursor batch. *)
+      let singles, batched = List.partition (fun k -> k land 1 = 0) keys in
       List.iter
         (fun k ->
-          ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k));
+          ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k)))
+        singles;
+      let cur = Concurrent.Skiplist.cursor s in
+      List.iter
+        (fun k ->
+          ignore (Concurrent.Skiplist.find_or_insert_at cur k ~make:(fun () -> k)))
+        (List.sort_uniq Int.compare batched);
+      List.iter
+        (fun k ->
           Concurrent.Rbtree.insert t k k;
           if not (IntMap.mem k !model) then model := IntMap.add k k !model)
         keys;
       let expected =
         List.filter (fun (k, _) -> k >= lo && k < hi) (IntMap.bindings !model)
       in
-      let got_s = ref [] and got_t = ref [] in
+      let got_s = ref [] and got_t = ref [] and got_from = ref [] in
       Concurrent.Skiplist.iter_range s ~lo ~hi (fun k v -> got_s := (k, v) :: !got_s);
       Concurrent.Rbtree.iter_range t ~lo ~hi (fun k v -> got_t := (k, v) :: !got_t);
+      Concurrent.Skiplist.iter_from s lo (fun k v -> got_from := (k, v) :: !got_from);
+      (* Scrubbing the odd keys leaves the range equal to the even part. *)
+      let odd = List.length (List.filter (fun (k, _) -> k land 1 = 1) (IntMap.bindings !model)) in
+      let scrubbed = Concurrent.Skiplist.scrub s ~dead:(fun k _ -> k land 1 = 1) in
+      let got_even = ref [] in
+      Concurrent.Skiplist.iter_range s ~lo ~hi (fun k v -> got_even := (k, v) :: !got_even);
       List.rev !got_s = expected
-      && List.sort compare (List.rev !got_t) = expected)
+      && List.sort compare (List.rev !got_t) = expected
+      && List.rev !got_from = List.filter (fun (k, _) -> k >= lo) (IntMap.bindings !model)
+      && scrubbed = odd
+      && List.rev !got_even = List.filter (fun (k, _) -> k land 1 = 0) expected)
 
 (* RW lock *)
 
@@ -408,6 +535,8 @@ let () =
           Alcotest.test_case "readers during inserts" `Quick
             skiplist_concurrent_readers_during_inserts;
           QCheck_alcotest.to_alcotest qcheck_skiplist_vs_map;
+          Alcotest.test_case "find allocates nothing" `Quick
+            skiplist_find_allocates_nothing;
         ] );
       ( "rbtree",
         [

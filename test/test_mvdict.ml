@@ -1086,6 +1086,90 @@ let batch_twin_equivalence =
       let a2 = PStore.open_existing ~threads:2 (Pmem.Pheap.reopen heap) in
       pre && agree !last_stamp a2)
 
+(* Zero-allocation read path: with the metrics off, a hit allocates only
+   its [Some] result (2 words), whichever version it reads. *)
+let pskiplist_find_allocates_only_result () =
+  let t = PStore.create (fresh_heap ()) in
+  let keys = 4096 in
+  for k = 0 to keys - 1 do
+    PStore.insert t k (k + 1)
+  done;
+  let old = PStore.tag t in
+  for k = 0 to keys - 1 do
+    PStore.insert t k (k + 2)
+  done;
+  ignore (PStore.tag t);
+  let iterations = 50_000 in
+  let per_op read =
+    Obs.Control.with_disabled (fun () ->
+        let w0 = Gc.minor_words () in
+        for i = 1 to iterations do
+          ignore (Sys.opaque_identity (read (i land (keys - 1))))
+        done;
+        let w1 = Gc.minor_words () in
+        (w1 -. w0) /. float_of_int iterations)
+  in
+  let at_old = Some old in
+  check_bool "latest answers" true (PStore.find t 7 = Some 9);
+  check_bool "old answers" true (PStore.find t ?version:at_old 7 = Some 8);
+  let latest = per_op (fun k -> PStore.find t k) in
+  let versioned = per_op (fun k -> PStore.find t ?version:at_old k) in
+  let miss = per_op (fun k -> PStore.find t (keys + k)) in
+  check_bool (Printf.sprintf "latest hit: %.2f words" latest) true (latest <= 2.01);
+  check_bool (Printf.sprintf "versioned hit: %.2f words" versioned) true (versioned <= 2.01);
+  check_bool (Printf.sprintf "miss: %.2f words" miss) true (miss <= 0.01)
+
+(* Heap exhaustion while a history grows must not wedge the key: the
+   failed growth leaves no claimed slot and no growth flag behind. *)
+let pskiplist_growth_failure_leaves_key_usable () =
+  let t = PStore.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 16) ()) in
+  let acked = ref 0 in
+  (try
+     for n = 1 to 100_000 do
+       PStore.insert t 1 n;
+       acked := n
+     done
+   with Out_of_memory -> ());
+  check_bool "the heap ran out" true (!acked > 0 && !acked < 100_000);
+  (* The next write runs in a fresh domain so a wedged append shows up
+     as a timeout rather than a hung suite. *)
+  let finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        (try PStore.insert t 1 (!acked + 1) with Out_of_memory -> ());
+        (try PStore.insert_batch t [ (1, !acked + 2) ] with Out_of_memory -> ());
+        Atomic.set finished true)
+  in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check_bool "further writes return or raise within 1 s" true (Atomic.get finished);
+  Domain.join writer;
+  check_bool "find answers the last acked value" true
+    (PStore.find t 1 = Some !acked)
+
+(* A batch whose growth fails half-way still stamps the keys it already
+   wrote: an unstamped slot would hide every later write to its key. *)
+let pskiplist_failed_batch_keeps_written_keys_visible () =
+  let t = PStore.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 16) ()) in
+  let acked = ref 0 in
+  (try
+     for n = 1 to 100_000 do
+       PStore.insert t 1 n;
+       acked := n
+     done
+   with Out_of_memory -> ());
+  (* Key 0 is new and fits; key 1's history cannot grow. *)
+  (match PStore.insert_batch t [ (0, 10); (1, 11) ] with
+  | () -> Alcotest.fail "the batch should have run out of heap"
+  | exception Out_of_memory -> ());
+  check_bool "key 0 written before the failure is visible" true
+    (PStore.find t 0 = Some 10);
+  check_bool "key 1 keeps its last acked value" true (PStore.find t 1 = Some !acked);
+  PStore.insert t 0 20;
+  check_bool "a later write to key 0 is visible" true (PStore.find t 0 = Some 20)
+
 let crash_after_concurrent_inserts () =
   (* Concurrent writers, then power cut: every completed operation must
      be recovered (each insert fully persists before returning). *)
@@ -1243,5 +1327,14 @@ let () =
           QCheck_alcotest.to_alcotest crash_point_property;
           Alcotest.test_case "crash after concurrent inserts" `Quick
             crash_after_concurrent_inserts;
+        ] );
+      ( "read-path",
+        [
+          Alcotest.test_case "find allocates only its result" `Quick
+            pskiplist_find_allocates_only_result;
+          Alcotest.test_case "growth failure leaves key usable" `Quick
+            pskiplist_growth_failure_leaves_key_usable;
+          Alcotest.test_case "failed batch keeps written keys visible" `Quick
+            pskiplist_failed_batch_keeps_written_keys_visible;
         ] );
     ]

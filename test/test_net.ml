@@ -13,6 +13,19 @@ let check_string = Alcotest.(check string)
 
 let gen_key_value = QCheck.Gen.(oneof [ int; small_signed_int; return 0; return min_int; return max_int ])
 
+let gen_event =
+  QCheck.Gen.(
+    oneof
+      [
+        return Mvdict.Dict_intf.Del;
+        map (fun v -> Mvdict.Dict_intf.Put v) gen_key_value;
+      ])
+
+let gen_chains =
+  QCheck.Gen.(
+    map Array.of_list
+      (small_list (pair gen_key_value (small_list (pair small_nat gen_event)))))
+
 let gen_plain_request =
   QCheck.Gen.(
     oneof
@@ -46,6 +59,17 @@ let gen_plain_request =
         map
           (fun (lo, hi, version, limit) -> Net.Wire.Scan { lo; hi; version; limit })
           (quad gen_key_value gen_key_value (opt small_nat) small_nat);
+        map
+          (fun (lo, hi, since, limit) -> Net.Wire.Migrate_pull { lo; hi; since; limit })
+          (quad gen_key_value gen_key_value small_nat small_nat);
+        map2
+          (fun since chains -> Net.Wire.History_batch { since; chains })
+          small_nat gen_chains;
+        map
+          (fun (lo, hi, epoch, endpoint) -> Net.Wire.Range_seal { lo; hi; epoch; endpoint })
+          (quad gen_key_value gen_key_value small_nat string_printable);
+        map2 (fun lo hi -> Net.Wire.Range_unseal { lo; hi }) gen_key_value gen_key_value;
+        return Net.Wire.Moves_status;
       ])
 
 (* The epoch wrappers may enclose any plain (non-wrapper) request —
@@ -91,14 +115,6 @@ let gen_error_code =
         Bad_epoch;
       ]
 
-let gen_event =
-  QCheck.Gen.(
-    oneof
-      [
-        return Mvdict.Dict_intf.Del;
-        map (fun v -> Mvdict.Dict_intf.Put v) gen_key_value;
-      ])
-
 let gen_response =
   QCheck.Gen.(
     oneof
@@ -124,6 +140,8 @@ let gen_response =
           small_nat;
         map2 (fun epoch version -> Net.Wire.Epoch_info { epoch; version }) small_nat
           small_nat;
+        map (fun chains -> Net.Wire.Histories chains) gen_chains;
+        map (fun s -> Net.Wire.Moves_json s) string_printable;
       ])
 
 (* Round-trip through the full framing path: encode into a buffer as a
@@ -179,6 +197,49 @@ let pipelined_scan_property =
         | `Partial | `Oversize _ -> continue := false
       done;
       !off = Bytes.length bytes && List.rev !decoded = reqs)
+
+(* ---- wire codec: byte layout and allocation ---- *)
+
+(* A scan page's frame, spelled out byte by byte: 4-byte big-endian
+   length, version, opcode 6, count, then each key and value as 8-byte
+   little-endian words. *)
+let pairs_frame_layout () =
+  let pairs = [| (1, 2); (-1, max_int); (min_int, 0) |] in
+  let buf = Buffer.create 64 in
+  Net.Wire.add_response buf (Net.Wire.Pairs pairs);
+  let body = 2 + 8 + (16 * Array.length pairs) in
+  let want = Bytes.create (4 + body) in
+  Bytes.set_int32_be want 0 (Int32.of_int body);
+  Bytes.set_uint8 want 4 Net.Wire.protocol_version;
+  Bytes.set_uint8 want 5 6;
+  let word i v = Bytes.set_int64_le want (6 + (8 * i)) (Int64.of_int v) in
+  word 0 (Array.length pairs);
+  Array.iteri
+    (fun i (k, v) ->
+      word (1 + (2 * i)) k;
+      word (2 + (2 * i)) v)
+    pairs;
+  check_string "frame bytes" (Bytes.to_string want) (Buffer.contents buf)
+
+let add_response_pairs_allocation () =
+  let n = 256 in
+  let resp = Net.Wire.Pairs (Array.init n (fun i -> (i, 3 * i))) in
+  let buf = Buffer.create 8192 in
+  Net.Wire.add_response buf resp;
+  let iterations = 2_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iterations do
+    Buffer.clear buf;
+    Net.Wire.add_response buf resp
+  done;
+  let w1 = Gc.minor_words () in
+  let per_pair = (w1 -. w0) /. float_of_int (iterations * n) in
+  check_bool (Printf.sprintf "%.3f words per pair" per_pair) true (per_pair < 1.0);
+  let bytes = Buffer.to_bytes buf in
+  check_bool "page decodes back" true
+    (Net.Wire.decode_response bytes ~off:Net.Wire.header_bytes
+       ~len:(Bytes.length bytes - Net.Wire.header_bytes)
+    = Ok resp)
 
 (* ---- wire codec: malformed frames ---- *)
 
@@ -1139,6 +1200,9 @@ let () =
           QCheck_alcotest.to_alcotest request_roundtrip_property;
           QCheck_alcotest.to_alcotest response_roundtrip_property;
           QCheck_alcotest.to_alcotest pipelined_scan_property;
+          Alcotest.test_case "pairs frame layout" `Quick pairs_frame_layout;
+          Alcotest.test_case "pairs page encodes without allocating" `Quick
+            add_response_pairs_allocation;
         ] );
       ( "wire-malformed",
         [
