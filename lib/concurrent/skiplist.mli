@@ -14,10 +14,15 @@
     observes every key inserted before it started and possibly some
     inserted during.
 
-    Layout: each node's tower is as tall as its randomly drawn level
-    (one atomic next-cell per level it is linked at), and every search
-    descends from the current highest occupied level, not from
-    {!max_level}. [find] allocates nothing. *)
+    Layout: each node's tower is one plain array of links, as tall as
+    its randomly drawn level; links are read with ordinary array loads
+    and linked with a compare-and-swap on the array slot (the runtime's
+    field CAS, through a small C stub) — no link has an [Atomic.t] box
+    of its own. Every search descends from the current highest
+    occupied level, not from {!max_level}, and stops as soon as it
+    meets the key. [find] allocates nothing, and inserting a fresh key
+    through a cursor allocates only its node, tower and [Some value]
+    (plus the returned outcome). *)
 
 type ('k, 'v) t
 
@@ -87,3 +92,9 @@ val cardinal : ('k, 'v) t -> int
 
 val height : ('k, 'v) t -> int
 (** Current highest occupied level (for tests/diagnostics). *)
+
+val validate : ('k, 'v) t -> (unit, string) result
+(** Structural check for tests, on a quiescent list: every level is
+    strictly ascending and links only nodes whose tower reaches it,
+    each level is a subsequence of the level below, levels at or above
+    {!height} are empty, and level 0 holds {!cardinal} nodes. *)

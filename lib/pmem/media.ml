@@ -7,8 +7,15 @@ type mapped = (char, int8_unsigned_elt, c_layout) Array1.t
    bigarrays and assemble words bytewise. *)
 type buffer = Ram_buf of Bytes.t | Map_buf of mapped
 
+(* The crash-sim shadow is copied into in whole cache lines, so two
+   domains persisting neighbouring words of one line would race (A
+   reads the line, B reads and copies it, A copies its stale read over
+   B's word). [lock] serialises the copies of one media; media without
+   crash simulation have no shadow and take no lock. *)
+type shadow = { image : Bytes.t; lock : Mutex.t }
+
 type backing =
-  | Ram of { shadow : Bytes.t option }
+  | Ram of { shadow : shadow option }
   | File of { fd : Unix.file_descr; path : string }
 
 type t = {
@@ -23,7 +30,10 @@ let cache_line = 64
 
 let create_ram ?(crash_sim = false) ~capacity () =
   if capacity <= 0 then invalid_arg "Media.create_ram: capacity must be positive";
-  let shadow = if crash_sim then Some (Bytes.make capacity '\000') else None in
+  let shadow =
+    if crash_sim then Some { image = Bytes.make capacity '\000'; lock = Mutex.create () }
+    else None
+  in
   {
     buf = Ram_buf (Bytes.make capacity '\000');
     capacity;
@@ -137,6 +147,15 @@ let write_bytes t off data =
         Array1.unsafe_set b (off + i) (Bytes.unsafe_get data i)
       done
 
+(* Copy [len] bytes inside the media without an intermediate OCaml
+   buffer (overlapping ranges are fine: both copies are memmoves). *)
+let blit t ~src ~dst len =
+  check_range t src len;
+  check_range t dst len;
+  match t.buf with
+  | Ram_buf b -> Bytes.blit b src b dst len
+  | Map_buf b -> Array1.blit (Array1.sub b src len) (Array1.sub b dst len)
+
 let fill t off len c =
   check_range t off len;
   match t.buf with
@@ -146,22 +165,23 @@ let fill t off len c =
         Array1.unsafe_set b i c
       done
 
-(* Make cache line [line] durable in the crash-sim shadow. Accounting
-   is the caller's job, so batch drains can blit many deduplicated
-   lines under one [record_flush]. *)
-let blit_line t line =
-  match (t.backing, t.buf) with
-  | Ram { shadow = Some shadow }, Ram_buf b ->
-      let lo = line * cache_line in
-      let hi = min t.capacity (lo + cache_line) in
-      if hi > lo then Bytes.blit b lo shadow lo (hi - lo)
-  | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _ -> ()
+(* Make cache lines [first, last] durable in the crash-sim shadow.
+   Accounting is the caller's job, so batch drains can copy many
+   deduplicated runs under one [record_flush]. *)
+let shadow_copy shadow b capacity first last =
+  let lo = first * cache_line in
+  let hi = min capacity ((last + 1) * cache_line) in
+  if hi > lo then begin
+    Mutex.lock shadow.lock;
+    Bytes.blit b lo shadow.image lo (hi - lo);
+    Mutex.unlock shadow.lock
+  end
 
 let flush_lines t first last =
   Pstats.record_flush t.stats ~lines:(last - first + 1);
-  for line = first to last do
-    blit_line t line
-  done
+  match (t.backing, t.buf) with
+  | Ram { shadow = Some shadow }, Ram_buf b -> shadow_copy shadow b t.capacity first last
+  | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _ -> ()
 
 (* Batch scopes. Inside [with_batch] the calling domain defers every
    flush and fence: dirty cache-line ranges are only appended to a flat
@@ -286,9 +306,7 @@ let drain_entry e =
       | Ram { shadow = Some shadow }, Ram_buf b ->
           fun first last ->
             actual := !actual + (last - first + 1);
-            let lo = first * cache_line in
-            let hi = min media.capacity ((last + 1) * cache_line) in
-            if hi > lo then Bytes.blit b lo shadow lo (hi - lo)
+            shadow_copy shadow b media.capacity first last
       | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _
         ->
           fun first last -> actual := !actual + (last - first + 1)
@@ -375,7 +393,9 @@ let persist t off len =
 let simulate_crash t =
   match (t.backing, t.buf) with
   | Ram { shadow = Some shadow }, Ram_buf b ->
-      Bytes.blit shadow 0 b 0 t.capacity
+      Mutex.lock shadow.lock;
+      Bytes.blit shadow.image 0 b 0 t.capacity;
+      Mutex.unlock shadow.lock
   | Ram { shadow = None }, _ ->
       invalid_arg "Media.simulate_crash: media created without crash_sim"
   | File _, _ | Ram { shadow = Some _ }, Map_buf _ ->

@@ -16,7 +16,10 @@
     Concurrency: distinct byte ranges may be written by different domains
     concurrently. Same-word racing accesses must be coordinated by the
     caller (the structures above use ephemeral atomics for that, as the
-    paper does). *)
+    paper does). Flushes copy whole cache lines into the crash-sim
+    shadow, so with [crash_sim] those copies are serialised per media;
+    two domains may persist neighbouring words of one line. Media
+    without [crash_sim] take no lock. *)
 
 type t
 
@@ -54,6 +57,12 @@ val set_byte : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
 val fill : t -> int -> int -> char -> unit
+
+val blit : t -> src:int -> dst:int -> int -> unit
+(** [blit t ~src ~dst len] copies [len] bytes from offset [src] to
+    offset [dst] inside the media, with no intermediate buffer
+    (overlapping ranges allowed). Like every write, the copy is not
+    durable until flushed and fenced. *)
 
 (** {1 Durability} *)
 

@@ -20,10 +20,15 @@ type t = {
 let header_size = 16
 let buffer_bytes ~record_words ~capacity = 8 + (record_words * 8 * capacity)
 
-let alloc_buffer t ~capacity =
+(* A fresh buffer whose first [copy_bytes] record bytes are copied from
+   the records of buffer [copy_from]; only the rest is zeroed (a
+   recycled block may hold old bytes). *)
+let alloc_buffer ?(copy_from = 0) ?(copy_bytes = 0) t ~capacity =
   let size = buffer_bytes ~record_words:t.record_words ~capacity in
   let off = Alloc.alloc (Pheap.allocator t.heap) size in
-  Media.fill t.media off size '\000';
+  if copy_bytes > 0 then
+    Media.blit t.media ~src:(copy_from + 8) ~dst:(off + 8) copy_bytes;
+  Media.fill t.media (off + 8 + copy_bytes) (size - 8 - copy_bytes) '\000';
   Media.set_i64 t.media off capacity;
   off
 
@@ -61,10 +66,10 @@ let grow t wanted =
       let rec double c = if c >= wanted then c else double (c * 2) in
       double (max 1 old_capacity)
     in
-    let new_buf = alloc_buffer t ~capacity:new_capacity in
-    let payload = t.record_words * 8 * old_capacity in
-    Media.write_bytes t.media (new_buf + 8)
-      (Media.read_bytes t.media (old_buf + 8) payload);
+    let new_buf =
+      alloc_buffer t ~capacity:new_capacity ~copy_from:old_buf
+        ~copy_bytes:(t.record_words * 8 * old_capacity)
+    in
     Media.persist t.media new_buf
       (buffer_bytes ~record_words:t.record_words ~capacity:new_capacity);
     Media.set_i64 t.media t.header_off new_buf;
@@ -83,11 +88,10 @@ let shrink_offline t ~capacity ~keep =
   let old_buf = buf_off t in
   let old_capacity = Media.get_i64 t.media old_buf in
   if capacity < old_capacity then begin
-    let new_buf = alloc_buffer t ~capacity in
-    let payload = t.record_words * 8 * min keep old_capacity in
-    if payload > 0 then
-      Media.write_bytes t.media (new_buf + 8)
-        (Media.read_bytes t.media (old_buf + 8) payload);
+    let new_buf =
+      alloc_buffer t ~capacity ~copy_from:old_buf
+        ~copy_bytes:(t.record_words * 8 * min keep old_capacity)
+    in
     Media.persist t.media new_buf (buffer_bytes ~record_words:t.record_words ~capacity);
     (* Same publication point as growth: the header swap. A crash in
        between orphans the new buffer; after it, the old one — either

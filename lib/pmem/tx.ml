@@ -40,8 +40,7 @@ let rollback t =
   done;
   List.iter
     (fun (off, len, data_off) ->
-      let old = Media.read_bytes m data_off len in
-      Media.write_bytes m off old;
+      Media.blit m ~src:data_off ~dst:off len;
       Media.persist m off len)
     !entries;
   Media.set_i64 m (count_off t) 0;
@@ -82,7 +81,7 @@ let add_range tx off len =
   let cursor = tx.write_cursor in
   Media.set_i64 m cursor off;
   Media.set_i64 m (cursor + 8) len;
-  Media.write_bytes m (cursor + 16) (Media.read_bytes m off len);
+  Media.blit m ~src:off ~dst:(cursor + 16) len;
   Media.persist m cursor entry_size;
   (* Publishing the count makes the entry recoverable. *)
   let count = Media.get_i64 m (count_off t) in

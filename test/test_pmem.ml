@@ -88,6 +88,67 @@ let media_file_backed_persists () =
   Pmem.Media.close m2;
   Sys.remove path
 
+(* [Media.blit] copies inside the media, overlapping ranges included,
+   on both backings. *)
+let media_blit_copies_in_place () =
+  let check_media name m =
+    let data = Bytes.of_string "0123456789abcdefghijklmnopqrstuv" in
+    Pmem.Media.write_bytes m 64 data;
+    Pmem.Media.blit m ~src:64 ~dst:1000 32;
+    check_bytes (name ^ ": disjoint copy") data (Pmem.Media.read_bytes m 1000 32);
+    (* overlapping, forwards: the source bytes are read before they are
+       overwritten *)
+    Pmem.Media.blit m ~src:64 ~dst:72 32;
+    check_bytes (name ^ ": overlapping copy") data (Pmem.Media.read_bytes m 72 32);
+    Alcotest.check_raises (name ^ ": bounds checked")
+      (Invalid_argument
+         (Printf.sprintf "Media: access [%d, %d) out of bounds (capacity %d)" 4090
+            4122 4096))
+      (fun () -> Pmem.Media.blit m ~src:0 ~dst:4090 32)
+  in
+  check_media "ram" (Pmem.Media.create_ram ~capacity:4096 ());
+  let path = Filename.temp_file "mvkv" ".pm" in
+  let m = Pmem.Media.create_file ~path ~capacity:4096 in
+  check_media "file" m;
+  Pmem.Media.close m;
+  Sys.remove path
+
+(* Two domains persist alternating 16-byte slots, so every cache line
+   is flushed by both; a spin barrier per line keeps them on the same
+   line at the same time. Each flush copies its whole line into the
+   crash-sim shadow; unless the copies are serialised, one domain's
+   stale copy of a line can overwrite the other's persisted slot. Every
+   slot persisted before the crash must survive it. *)
+let media_crash_concurrent_persists () =
+  let lines = 4096 and per_line = Pmem.Media.cache_line / 16 in
+  let m = Pmem.Media.create_ram ~crash_sim:true ~capacity:(lines * Pmem.Media.cache_line) () in
+  for round = 1 to 4 do
+    let arrived = Atomic.make 0 in
+    let writer parity () =
+      for line = 0 to lines - 1 do
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * (line + 1) do
+          Domain.cpu_relax ()
+        done;
+        for i = 0 to (per_line / 2) - 1 do
+          let off = (line * Pmem.Media.cache_line) + (16 * ((2 * i) + parity)) in
+          Pmem.Media.set_i64 m off (round + off);
+          Pmem.Media.set_i64 m (off + 8) round;
+          Pmem.Media.persist m off 16
+        done
+      done
+    in
+    let other = Domain.spawn (writer 1) in
+    writer 0 ();
+    Domain.join other;
+    Pmem.Media.simulate_crash m;
+    for slot = 0 to (lines * per_line) - 1 do
+      let off = 16 * slot in
+      if Pmem.Media.get_i64 m off <> round + off || Pmem.Media.get_i64 m (off + 8) <> round
+      then Alcotest.failf "round %d: persisted slot %d lost in the crash" round slot
+    done
+  done
+
 (* Allocator *)
 
 let alloc_basic () =
@@ -363,6 +424,63 @@ let pvector_grow_crash_safe () =
     (Pmem.Pvector.get_word v2 ~record:0 ~word:0);
   check_bool "capacity valid" true (Pmem.Pvector.capacity v2 >= 2)
 
+(* Growth and offline shrink copy the payload inside the media and zero
+   only what lies past it — here into a recycled block full of junk —
+   while keeping the persistence work of a whole-buffer persist plus
+   the header swap (two fences), on RAM and on file media. *)
+let pvector_copies_in_media () =
+  let check_heap name h =
+    let m = Pmem.Pheap.media h and stats = Pmem.Media.stats (Pmem.Pheap.media h) in
+    let v = Pmem.Pvector.create h ~record_words:3 ~initial_capacity:2 in
+    for r = 0 to 1 do
+      for w = 0 to 2 do
+        Pmem.Pvector.set_word v ~record:r ~word:w ((10 * r) + w + 1)
+      done;
+      Pmem.Pvector.persist_record v ~record:r
+    done;
+    (* a freed block of the grown buffer's size, full of junk *)
+    let grown_bytes = 8 + (3 * 8 * 4) in
+    let a = Pmem.Pheap.allocator h in
+    let junk = Pmem.Alloc.alloc a grown_bytes in
+    Pmem.Media.fill m junk grown_bytes '\xff';
+    Pmem.Alloc.free a junk grown_bytes;
+    let counts f =
+      let lines0 = Pmem.Pstats.flushed_lines stats and fences0 = Pmem.Pstats.fences stats in
+      f ();
+      (Pmem.Pstats.flushed_lines stats - lines0, Pmem.Pstats.fences stats - fences0)
+    in
+    (* the allocator's own persist, the whole new buffer, the header *)
+    check_bool (name ^ ": grow persists as before") true
+      (counts (fun () -> Pmem.Pvector.grow v 3) = (4, 3));
+    check_int (name ^ ": capacity") 4 (Pmem.Pvector.capacity v);
+    for r = 0 to 3 do
+      for w = 0 to 2 do
+        check_int
+          (Printf.sprintf "%s: grown record %d word %d" name r w)
+          (if r < 2 then (10 * r) + w + 1 else 0)
+          (Pmem.Pvector.get_word v ~record:r ~word:w)
+      done
+    done;
+    Pmem.Pvector.set_word v ~record:2 ~word:0 99;
+    check_bool (name ^ ": shrink persists as before") true
+      (counts (fun () -> Pmem.Pvector.shrink_offline v ~capacity:3 ~keep:1) = (6, 5));
+    check_int (name ^ ": shrunk capacity") 3 (Pmem.Pvector.capacity v);
+    for r = 0 to 2 do
+      for w = 0 to 2 do
+        check_int
+          (Printf.sprintf "%s: kept record %d word %d" name r w)
+          (if r < 1 then w + 1 else 0)
+          (Pmem.Pvector.get_word v ~record:r ~word:w)
+      done
+    done
+  in
+  check_heap "ram" (small_heap ());
+  let path = Filename.temp_file "mvkv" ".pm" in
+  let h = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
+  check_heap "file" h;
+  Pmem.Media.close (Pmem.Pheap.media h);
+  Sys.remove path
+
 (* Pblockchain *)
 
 let chain_append_iterate () =
@@ -558,6 +676,12 @@ let () =
           Alcotest.test_case "crash partial flush" `Quick media_crash_partial_flush;
           Alcotest.test_case "crash requires mode" `Quick media_crash_requires_mode;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
+          Alcotest.test_case "blit copies in place" `Quick media_blit_copies_in_place;
+        ] );
+      ( "media-race",
+        [
+          Alcotest.test_case "concurrent persists survive a crash" `Quick
+            media_crash_concurrent_persists;
         ] );
       ( "alloc",
         [
@@ -599,6 +723,7 @@ let () =
           Alcotest.test_case "grow preserves" `Quick pvector_grow_preserves;
           Alcotest.test_case "attach" `Quick pvector_attach;
           Alcotest.test_case "grow crash safe" `Quick pvector_grow_crash_safe;
+          Alcotest.test_case "grow and shrink copy in media" `Quick pvector_copies_in_media;
         ] );
       ( "properties",
         [
